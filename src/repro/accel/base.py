@@ -354,10 +354,14 @@ class AcceleratorModel:
     def run_gemm_functional(self, a, w, **kwargs):
         """Run one concrete GEMM on the functional/cycle simulator.
 
-        The simulator compresses any compressed-weight operand through the
-        shared :func:`repro.core.gemm.compress_cached` memo, so sweeping
-        the same workload across variants and density points compresses
-        each weight tensor exactly once.
+        Returns a :class:`~repro.arch.result.GemmSimResult`: cycles and
+        events are computed from per-index non-zero counts, and no
+        operand is compressed or multiplied unless ``.output`` is read
+        (the full-model tier never reads it). Reading it runs the mode's
+        kernel on the operands, which must not be mutated in between;
+        a W-DBB output compresses the weights through the shared
+        :func:`repro.core.gemm.compress_cached` memo, once per weight
+        tensor across variants and density points.
         """
         from repro.arch.systolic import SystolicArray
 

@@ -169,11 +169,10 @@ class S2TAW(AcceleratorModel):
 
     def _functional_gemm_kwargs(self, layer: LayerSpec) -> dict:
         """Unpruned layers (e.g. the first conv) run the hardware's
-        two-pass dense-weight fallback, matching ``_w_passes``. The
-        simulator compresses pruned weights through the shared
-        :func:`repro.core.gemm.compress_cached` memo, so sweeping the
-        same workload across variants (S2TA-W, S2TA-AW, density points)
-        compresses each weight tensor exactly once."""
+        two-pass dense-weight fallback, matching ``_w_passes``. Cycles
+        and events need no compressed weights; only reading the result's
+        ``output`` compresses them, through the shared
+        :func:`repro.core.gemm.compress_cached` memo."""
         return {"w_dense": layer.w_nnz > self.datapath_nnz}
 
 

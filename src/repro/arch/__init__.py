@@ -11,6 +11,8 @@ Cycle-level functional models of the paper's hardware building blocks:
 - :mod:`repro.arch.dap_hw`: the cascaded magnitude-maxpool DAP array
   (Fig. 8), bit-exact with the algorithmic DAP.
 - :mod:`repro.arch.smt`: the SA-SMT staging-FIFO queueing simulator.
+- :mod:`repro.arch.result`: :class:`GemmSimResult`, the one result type
+  of every functional GEMM engine (eager cycles/events, lazy output).
 - :mod:`repro.arch.systolic`: output-stationary systolic array simulator
   for the scalar-PE baselines and the S2TA tensor-PE variants.
 - :mod:`repro.arch.sparten`: SparTen's bitmask inner-join PE array with
@@ -33,7 +35,7 @@ from repro.arch.datapath import (
     dp8_dense,
 )
 from repro.arch.events import EventCounts
-from repro.arch.eyeriss import EyerissV2Config, EyerissV2Engine, EyerissV2Result
+from repro.arch.eyeriss import EyerissV2Config, EyerissV2Engine
 from repro.arch.memory import (
     DRAMConfig,
     LayerMemoryProfile,
@@ -43,10 +45,11 @@ from repro.arch.memory import (
     SRAMStaging,
 )
 from repro.arch.netsim import NetworkSimResult, simulate_network
-from repro.arch.scnn import SCNNConfig, SCNNEngine, SCNNResult
+from repro.arch.result import GemmSimResult
+from repro.arch.scnn import SCNNConfig, SCNNEngine
 from repro.arch.smt import SMTArrayModel, SMTResult
-from repro.arch.sparten import SparTenConfig, SparTenEngine, SparTenResult
-from repro.arch.systolic import SystolicArray, SystolicConfig, SystolicResult
+from repro.arch.sparten import SparTenConfig, SparTenEngine
+from repro.arch.systolic import SystolicArray, SystolicConfig
 from repro.arch.tpe import TensorPE
 
 __all__ = [
@@ -67,18 +70,15 @@ __all__ = [
     "DAPHardware",
     "SMTArrayModel",
     "SMTResult",
+    "GemmSimResult",
     "SystolicArray",
     "SystolicConfig",
-    "SystolicResult",
     "SparTenConfig",
     "SparTenEngine",
-    "SparTenResult",
     "EyerissV2Config",
     "EyerissV2Engine",
-    "EyerissV2Result",
     "SCNNConfig",
     "SCNNEngine",
-    "SCNNResult",
     "TensorPE",
     "simulate_network",
     "NetworkSimResult",

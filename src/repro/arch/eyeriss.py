@@ -35,9 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.events import EventCounts
+from repro.arch.result import GemmSimResult
 from repro.core.gemm import dense_gemm
 
-__all__ = ["EyerissV2Config", "EyerissV2Result", "EyerissV2Engine"]
+__all__ = ["EyerissV2Config", "EyerissV2Engine"]
 
 
 @dataclass(frozen=True)
@@ -74,23 +75,6 @@ class EyerissV2Config:
     @property
     def hardware_macs(self) -> int:
         return self.clusters * self.pes_per_cluster * self.macs_per_pe
-
-
-@dataclass
-class EyerissV2Result:
-    """Result of one simulated GEMM on the row-stationary mesh."""
-
-    output: np.ndarray
-    cycles: int
-    events: EventCounts
-    #: Matched-pair loads per (cluster, PE) mesh slot.
-    pe_loads: np.ndarray
-
-    @property
-    def mesh_occupancy(self) -> float:
-        """Mean/max PE load — 1.0 is a perfectly balanced mapping."""
-        peak = self.pe_loads.max(initial=0)
-        return float(self.pe_loads.mean() / peak) if peak else 1.0
 
 
 class EyerissV2Engine:
@@ -141,12 +125,14 @@ class EyerissV2Engine:
             loads += np.roll(pair_loads[r], r, axis=1)
         return loads.reshape(-1)
 
-    def run_gemm(self, a: np.ndarray, w: np.ndarray) -> EyerissV2Result:
+    def run_gemm(self, a: np.ndarray, w: np.ndarray) -> GemmSimResult:
         """Execute ``C = A @ W`` on the CSC row-stationary mesh.
 
         Events mirror the analytic :class:`repro.accel.eyeriss.EyerissV2`
         term for term with measured counts; the cross-validation suite
-        asserts the agreement.
+        asserts the agreement. ``pe_loads`` are the matched-pair loads
+        per (cluster, PE) mesh slot; their ``load_balance`` is the mesh
+        occupancy.
         """
         a = np.asarray(a)
         w = np.asarray(w)
@@ -184,6 +170,5 @@ class EyerissV2Engine:
         events.sram_w_read_bytes = w_stored
         events.sram_a_write_bytes = m * n
         events.mcu_elementwise_ops = m * n
-        out = dense_gemm(a, w)
-        return EyerissV2Result(output=out, cycles=cycles, events=events,
-                               pe_loads=pe_loads)
+        return GemmSimResult(cycles, events, pe_loads=pe_loads,
+                             kernel=dense_gemm, operands=(a, w))

@@ -21,8 +21,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.arch.events import EventCounts
-from repro.arch.systolic import Mode, SystolicArray, SystolicConfig, SystolicResult
-from repro.core.dap import dap_prune
+from repro.arch.result import GemmSimResult
+from repro.arch.systolic import Mode, SystolicArray, SystolicConfig
 from repro.nn.layers import AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU
 from repro.nn.quantized import QuantizedSequential
 from repro.quant.int8 import requantize
@@ -36,7 +36,7 @@ class LayerSimRecord:
 
     name: str
     mode: Mode
-    result: SystolicResult
+    result: GemmSimResult
 
     @property
     def cycles(self) -> int:

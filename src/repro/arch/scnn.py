@@ -35,9 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.events import EventCounts
+from repro.arch.result import GemmSimResult
 from repro.core.gemm import dense_gemm
 
-__all__ = ["SCNNConfig", "SCNNResult", "SCNNEngine"]
+__all__ = ["SCNNConfig", "SCNNEngine"]
 
 
 @dataclass(frozen=True)
@@ -68,32 +69,21 @@ class SCNNConfig:
         return self.pes * self.mults_i * self.mults_f
 
 
-@dataclass
-class SCNNResult:
-    """Result of one simulated GEMM on the Cartesian-product array."""
-
-    output: np.ndarray
-    cycles: int
-    events: EventCounts
-    #: Multiplier issue slots consumed per PE.
-    pe_issue_slots: np.ndarray
-    #: Fired products / available multiplier slots over the makespan —
-    #: the emergent fragmentation the module doc describes.
-    multiplier_utilization: float = 0.0
-
-
 class SCNNEngine:
     """Functional/cycle simulator for one SCNN configuration."""
 
     def __init__(self, config: SCNNConfig = SCNNConfig()):
         self.config = config
 
-    def run_gemm(self, a: np.ndarray, w: np.ndarray) -> SCNNResult:
+    def run_gemm(self, a: np.ndarray, w: np.ndarray) -> GemmSimResult:
         """Execute ``C = A @ W`` on the Cartesian-product PE array.
 
         Events mirror the analytic :class:`repro.accel.scnn.SCNN` term
         for term with measured counts; the cross-validation suite
-        asserts the agreement.
+        asserts the agreement. ``pe_loads`` are the multiplier issue
+        slots each PE consumes; fired products over
+        ``cycles * hardware_macs`` is the emergent multiplier
+        utilization the module doc describes.
         """
         a = np.asarray(a)
         w = np.asarray(w)
@@ -135,9 +125,5 @@ class SCNNEngine:
         events.sram_w_read_bytes = w_stored
         events.sram_a_write_bytes = m * n
         events.mcu_elementwise_ops = m * n
-        out = dense_gemm(a, w)
-        avail = cycles * cfg.hardware_macs
-        return SCNNResult(output=out, cycles=cycles, events=events,
-                          pe_issue_slots=issue,
-                          multiplier_utilization=fired / avail if avail
-                          else 0.0)
+        return GemmSimResult(cycles, events, pe_loads=issue,
+                             kernel=dense_gemm, operands=(a, w))

@@ -36,9 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.events import EventCounts
+from repro.arch.result import GemmSimResult
 from repro.core.gemm import dense_gemm
 
-__all__ = ["SparTenConfig", "SparTenResult", "SparTenEngine"]
+__all__ = ["SparTenConfig", "SparTenEngine"]
 
 
 @dataclass(frozen=True)
@@ -70,23 +71,6 @@ class SparTenConfig:
             raise ValueError(f"pass_cap must be >= 1, got {self.pass_cap}")
 
 
-@dataclass
-class SparTenResult:
-    """Result of one simulated GEMM on the bitmask inner-join engine."""
-
-    output: np.ndarray
-    cycles: int
-    events: EventCounts
-    #: Final per-PE matched-pair loads of the greedy schedule.
-    pe_loads: np.ndarray
-
-    @property
-    def load_balance(self) -> float:
-        """Mean/max PE load — 1.0 is a perfectly balanced schedule."""
-        peak = self.pe_loads.max(initial=0)
-        return float(self.pe_loads.mean() / peak) if peak else 1.0
-
-
 def greedy_lpt_loads(job_lengths: np.ndarray, workers: int) -> np.ndarray:
     """Longest-processing-time-first greedy assignment.
 
@@ -112,13 +96,14 @@ class SparTenEngine:
     def __init__(self, config: SparTenConfig = SparTenConfig()):
         self.config = config
 
-    def run_gemm(self, a: np.ndarray, w: np.ndarray) -> SparTenResult:
+    def run_gemm(self, a: np.ndarray, w: np.ndarray) -> GemmSimResult:
         """Execute ``C = A @ W`` on the bitmask inner-join array.
 
         Events mirror the analytic :class:`repro.accel.sparten.SparTen`
         term for term, with the density closed forms replaced by counts
         measured on the concrete operands (stored non-zeros, matched
         pairs); the cross-validation suite asserts the agreement.
+        ``pe_loads`` are the greedy schedule's per-PE matched-pair loads.
         """
         a = np.asarray(a)
         w = np.asarray(w)
@@ -159,6 +144,5 @@ class SparTenEngine:
         events.sram_w_read_bytes = w_stored
         events.sram_a_write_bytes = m * n
         events.mcu_elementwise_ops = m * n
-        out = dense_gemm(a, w)
-        return SparTenResult(output=out, cycles=cycles, events=events,
-                             pe_loads=pe_loads)
+        return GemmSimResult(cycles, events, pe_loads=pe_loads,
+                             kernel=dense_gemm, operands=(a, w))

@@ -1,13 +1,14 @@
 """Output-stationary systolic array simulator (scalar PE and tensor PE).
 
 Simulates one GEMM on a systolic array in any of the paper's four
-execution modes, producing the bit-exact result matrix, the cycle count
-of the output-stationary schedule, and the hardware event counts that
-drive the energy model. Tiles of one layer pipeline back to back, so
-the wavefront fill/drain skew is paid once per GEMM — the same
-convention as the analytic accelerator models, making the two cycle
-models bit-equal on matched geometries (the cross-validation suite
-asserts exact agreement):
+execution modes, producing the cycle count of the output-stationary
+schedule and the hardware event counts that drive the energy model; the
+bit-exact result matrix is computed only when read (see
+:class:`repro.arch.result.GemmSimResult`). Tiles of one layer pipeline
+back to back, so the wavefront fill/drain skew is paid once per GEMM —
+the same convention as the analytic accelerator models, making the two
+cycle models bit-equal on matched geometries (the cross-validation
+suite asserts exact agreement):
 
 - ``DENSE`` — classic scalar-PE SA (Fig. 6a / TPU-style baseline).
 - ``ZVCG`` — scalar-PE SA with zero-value clock gating (Fig. 6b): same
@@ -38,10 +39,11 @@ All event counting is vectorized: the data-dependent fired-MAC counts
 reduce to dot products of per-reduction-index non-zero counts (the
 bitmask-intersection popcount sum separates per index — see
 :mod:`repro.core.reference` for the retained per-block walk they are
-fuzz-tested against). The ``AWDBB`` path needs no operand compression at
-all; ``WDBB`` compresses weights through the shared
-:func:`repro.core.gemm.compress_cached` memo, so a workload swept across
-modes/density points compresses its weights at most once.
+fuzz-tested against), so no mode compresses an operand to count its
+events. Reading a ``WDBB`` result's ``output`` compresses the weights
+through the shared :func:`repro.core.gemm.compress_cached` memo, so a
+workload swept across modes/density points compresses its weights at
+most once.
 """
 
 from __future__ import annotations
@@ -54,12 +56,13 @@ from typing import Optional
 import numpy as np
 
 from repro.arch.events import EventCounts
+from repro.arch.result import GemmSimResult
 from repro.core.dap import dap_prune
-from repro.core.dbb import DBBSpec
+from repro.core.dbb import DBBSpec, blocked_rows
 from repro.core.gemm import compress_cached, dbb_gemm, dense_gemm
 from repro.core.pruning import is_dbb_compliant
 
-__all__ = ["Mode", "SystolicConfig", "SystolicResult", "SystolicArray"]
+__all__ = ["Mode", "SystolicConfig", "SystolicArray"]
 
 
 class Mode(enum.Enum):
@@ -115,18 +118,18 @@ class SystolicConfig:
         return self.rows * self.cols * per_tpe
 
 
-@dataclass
-class SystolicResult:
-    """Result of one simulated GEMM."""
+def _blocks_within(a: np.ndarray, bz: int, nnz: int) -> bool:
+    """True when no ``bz``-block along ``a``'s rows holds more than
+    ``nnz`` non-zeros."""
+    blocks, _, _ = blocked_rows(a != 0, bz)
+    return int(blocks.sum(axis=1, dtype=np.int16).max(initial=0)) <= nnz
 
-    output: np.ndarray
-    cycles: int
-    events: EventCounts
-    mode: Mode
 
-    @property
-    def mac_utilization(self) -> float:
-        return self.events.mac_utilization
+def _wdbb_output(a: np.ndarray, w: np.ndarray, spec: DBBSpec) -> np.ndarray:
+    """S2TA-W's numeric output: the DP4M8 kernel on compressed weights.
+    The compression memo is shared across the mode/density sweep, so
+    every variant of a workload compresses the same W once."""
+    return dbb_gemm(a, compress_cached(w.T, spec))
 
 
 class SystolicArray:
@@ -145,7 +148,7 @@ class SystolicArray:
         w: np.ndarray,
         a_nnz: Optional[int] = None,
         w_dense: bool = False,
-    ) -> SystolicResult:
+    ) -> GemmSimResult:
         """Execute ``C = A @ W`` on the configured array.
 
         ``a_nnz`` selects the per-layer A-DBB density in ``AWDBB`` mode
@@ -187,7 +190,7 @@ class SystolicArray:
         return self.config.rows + self.config.cols - 2
 
     def _run_scalar(self, a: np.ndarray, w: np.ndarray, zvcg: bool
-                    ) -> SystolicResult:
+                    ) -> GemmSimResult:
         cfg = self.config
         m, k = a.shape
         n = w.shape[1]
@@ -234,9 +237,8 @@ class SystolicArray:
                               a_bytes_per_pass=m * k,
                               w_bytes_per_pass=k * n,
                               tiles_m=tiles_m, tiles_n=tiles_n)
-        out = dense_gemm(a, w)
-        return SystolicResult(output=out, cycles=cycles, events=events,
-                              mode=cfg.mode)
+        return GemmSimResult(cycles, events, cfg.mode,
+                             kernel=dense_gemm, operands=(a, w))
 
     # ------------------------------------------------------------------ #
     # S2TA-W: DP4M8 TPE array, compressed weights, dense activations
@@ -258,7 +260,7 @@ class SystolicArray:
             )
 
     def _run_wdbb(self, a: np.ndarray, w: np.ndarray,
-                  w_dense: bool = False) -> SystolicResult:
+                  w_dense: bool = False) -> GemmSimResult:
         cfg = self.config
         spec = cfg.w_spec
         m, k = a.shape
@@ -316,13 +318,10 @@ class SystolicArray:
                               w_bytes_per_pass=w_bytes_per_pass,
                               tiles_m=tiles_m, tiles_n=tiles_n)
         if w_dense:
-            out = dense_gemm(a, w)
-        else:
-            # The weight compression memo is shared across the mode/density
-            # sweep: every variant of a workload compresses the same W once.
-            out = dbb_gemm(a, compress_cached(w.T, spec))
-        return SystolicResult(output=out, cycles=cycles, events=events,
-                              mode=cfg.mode)
+            return GemmSimResult(cycles, events, cfg.mode,
+                                 kernel=dense_gemm, operands=(a, w))
+        return GemmSimResult(cycles, events, cfg.mode,
+                             kernel=_wdbb_output, operands=(a, w, spec))
 
     # ------------------------------------------------------------------ #
     # S2TA-AW: time-unrolled DP1M4 TPE array, both operands compressed
@@ -330,7 +329,7 @@ class SystolicArray:
 
     def _run_awdbb(self, a: np.ndarray, w: np.ndarray,
                    a_nnz: Optional[int],
-                   w_dense: bool = False) -> SystolicResult:
+                   w_dense: bool = False) -> GemmSimResult:
         cfg = self.config
         w_spec = cfg.w_spec
         if not w_dense:
@@ -346,8 +345,10 @@ class SystolicArray:
         bz = a_spec.block_size
         k_blocks = math.ceil(k / bz)
         # DAP at the activation-buffer write port (dense bypass when the
-        # layer is tuned to full density).
-        if nnz_a < bz:
+        # layer is tuned to full density). DAP keeps every non-zero of a
+        # block already within the bound, so compliant activations (all
+        # synthesized ones) pass through without the top-k pass.
+        if nnz_a < bz and not _blocks_within(a, bz, nnz_a):
             a_pruned = dap_prune(a, a_spec, nnz=nnz_a).pruned
         else:
             a_pruned = a
@@ -409,9 +410,8 @@ class SystolicArray:
                               # Activations land in the AB through the DAP
                               # write port in compressed block form.
                               a_write_bytes=a_bytes_per_pass)
-        out = dense_gemm(a_pruned, w)
-        return SystolicResult(output=out, cycles=cycles, events=events,
-                              mode=cfg.mode)
+        return GemmSimResult(cycles, events, cfg.mode,
+                             kernel=dense_gemm, operands=(a_pruned, w))
 
     # ------------------------------------------------------------------ #
 

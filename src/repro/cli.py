@@ -482,6 +482,19 @@ def cmd_cache(args) -> str:
             f"{stats['entries']:,} remain ({stats['bytes']:,} bytes)")
 
 
+def _seed_arg(text: str) -> int:
+    """``--seed``: a non-negative int (NumPy's seed sequence rejects
+    negatives deep inside synthesis)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _parse_jobs_arg(text):
     """Serve-side ``--jobs``: ``auto`` (the default) or an int
     (``0`` = one per core), mirroring the engine's resolver."""
@@ -781,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--quick", action="store_true",
                      help="subsample layers for a fast functional check "
                           "(fig11/fig12 with --functional; xval)")
-    exp.add_argument("--seed", type=int, default=None,
+    exp.add_argument("--seed", type=_seed_arg, default=None,
                      help="operand-synthesis seed for the functional tier")
     exp.add_argument("--dram-bw", type=float, default=None,
                      metavar="GB/s",
@@ -850,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="evaluation tier: closed-form analytic "
                           "(default; sub-ms per point) or the cycle "
                           "simulator")
-    dse.add_argument("--seed", type=int, default=None,
+    dse.add_argument("--seed", type=_seed_arg, default=None,
                      help="operand-synthesis seed (functional fidelity)")
     dse.add_argument("--quick", action="store_true",
                      help="subsample GEMM rows for a fast functional "
@@ -989,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--quick", action="store_true",
                         help="subsample output rows like the "
                              "experiment --quick mode")
-    submit.add_argument("--seed", type=int, default=0,
+    submit.add_argument("--seed", type=_seed_arg, default=0,
                         help="operand-synthesis seed (functional tier)")
     submit.add_argument("--priority", type=int, default=0,
                         help="scheduling priority; higher runs first "
@@ -1049,7 +1062,7 @@ def build_parser() -> argparse.ArgumentParser:
     warm.add_argument("--quick", action="store_true",
                       help="warm the quick-mode (subsampled) payloads "
                            "instead of full-size")
-    warm.add_argument("--seed", type=int, default=0)
+    warm.add_argument("--seed", type=_seed_arg, default=0)
     warm.add_argument("--jobs", default="auto", metavar="N|auto",
                       help="engine worker processes; 'auto' (default) "
                            "adapts to the miss count, 0 = one per core")
@@ -1080,7 +1093,17 @@ def main(argv: Optional[List[str]] = None) -> str:
     """Parse, dispatch, emit. Returns the payload string (tests and
     embedding callers consume the return value; stdout emission routes
     through the ``repro.out`` logger so ``-q`` can silence it)."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "jobs", "") is None:
+        # --jobs left unset defers to $REPRO_JOBS: a bad value is a
+        # usage error, not a traceback from the runner.
+        from repro.eval.runner import resolve_jobs
+
+        try:
+            resolve_jobs(None)
+        except ValueError as exc:
+            parser.exit(2, f"{parser.prog}: error: {exc}\n")
     verbosity = (getattr(args, "verbose", 0) - getattr(args, "quiet", 0))
     obs_logs.configure_logging(verbosity)
     log = obs_logs.get_logger(__name__)

@@ -137,6 +137,8 @@ def parse_request(data: Dict) -> SimRequest:
         if isinstance(value, bool) or not isinstance(value, int):
             raise RequestError(f"{name} must be an integer, got {value!r}")
         kwargs[name] = value
+    if kwargs["seed"] < 0:
+        raise RequestError(f"seed must be >= 0, got {kwargs['seed']}")
     return SimRequest(**kwargs)
 
 

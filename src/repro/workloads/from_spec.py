@@ -97,12 +97,7 @@ def blocked_density_operand(
     deficit = total - int(nnz.sum())
     frac = target - np.floor(target)
     tiebreak = rng.random(valid.size)
-    order = np.lexsort((tiebreak, -frac))
-    while deficit > 0:
-        room = order[(cap - nnz)[order] > 0]
-        bump = room[:deficit]
-        nnz[bump] += 1
-        deficit -= bump.size
+    _allocate_deficit(nnz, cap, frac, tiebreak, deficit)
     # Choose nnz[b] positions per block among its valid ones: rank random
     # keys per block (invalid positions get +inf) and keep the smallest.
     keys = rng.random((valid.size, block_size), dtype=np.float32)
@@ -121,6 +116,54 @@ def blocked_density_operand(
     np.multiply(magnitude, mask, out=magnitude, casting="unsafe")
     out = magnitude.astype(dtype)
     return out.reshape(rows, padded)[:, :width]
+
+
+def _allocate_deficit(nnz: np.ndarray, cap: np.ndarray, frac: np.ndarray,
+                      tiebreak: np.ndarray, deficit: int) -> None:
+    """Add ``deficit`` non-zeros to ``nnz`` in place, one per block in
+    order of decreasing ``frac`` then increasing ``tiebreak``, skipping
+    blocks at their ``cap`` and wrapping round until none is left."""
+    if deficit <= 0:
+        return
+    if deficit <= nnz.size and bool((nnz < cap).all()):
+        bump = _first_blocks(frac, tiebreak, deficit)
+        if bump is not None:
+            nnz[bump] += 1
+            return
+    order = np.lexsort((tiebreak, -frac))
+    while deficit > 0:
+        room = order[(cap - nnz)[order] > 0]
+        bump = room[:deficit]
+        nnz[bump] += 1
+        deficit -= bump.size
+
+
+def _first_blocks(frac: np.ndarray, tiebreak: np.ndarray, count: int
+                  ) -> Optional[np.ndarray]:
+    """The first ``count`` indices of ``np.lexsort((tiebreak, -frac))``
+    as a set, without the full sort: ``frac`` takes few distinct values
+    (a synthesized operand has two, full blocks and the ragged tail), so
+    whole levels are taken from the highest down and the boundary level
+    contributes its ``count`` smallest tiebreaks via ``argpartition``.
+    ``None`` when the boundary tiebreak value is tied (the stable sort
+    would then break the tie by index)."""
+    taken = []
+    remaining = np.ones(frac.size, dtype=bool)
+    while count > 0:
+        level = frac[remaining].max()
+        members = np.flatnonzero(remaining & (frac == level))
+        if members.size <= count:
+            taken.append(members)
+            remaining[members] = False
+            count -= members.size
+            continue
+        keys = tiebreak[members]
+        part = np.argpartition(keys, (count - 1, count))
+        if keys[part[count - 1]] == keys[part[count]]:
+            return None
+        taken.append(members[part[:count]])
+        break
+    return np.concatenate(taken)
 
 
 def spec_operands(

@@ -103,7 +103,7 @@ class TestZvcgMode:
         result = SystolicArray(
             SystolicConfig(rows=4, cols=4, mode=Mode.ZVCG)
         ).run_gemm(a, w)
-        assert result.mac_utilization < 0.5
+        assert result.events.mac_utilization < 0.5
 
 
 class TestWdbbMode:

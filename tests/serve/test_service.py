@@ -139,6 +139,9 @@ class TestApiSurface:
             status, body = http_json("POST", f"{base}/jobs",
                                      dict(ANALYTIC, sed=1))
             assert status == 400 and "unknown request field" in body["error"]
+            status, body = http_json("POST", f"{base}/jobs",
+                                     dict(FIG12_QUICK, seed=-1))
+            assert status == 400 and "seed must be >= 0" in body["error"]
             assert http_json("GET", f"{base}/jobs/999")[0] == 404
             assert http_json("GET", f"{base}/jobs/abc")[0] == 400
             assert http_json("GET", f"{base}/nope")[0] == 404

@@ -163,6 +163,35 @@ class TestJobsFlag:
         with pytest.raises(SystemExit):
             main(["experiment", "xval", "--jobs", "-1"])
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "fig12", "--functional", "--quick"],
+        ["dse"],
+    ])
+    def test_bad_repro_jobs_env_is_a_usage_error(self, argv, monkeypatch,
+                                                 capsys):
+        monkeypatch.setenv("REPRO_JOBS", "banana")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: REPRO_JOBS must be an integer" in err
+        assert "Traceback" not in err
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "fig12", "--functional", "--quick", "--seed", "-1"],
+        ["dse", "--fidelity", "functional", "--seed", "-1"],
+        ["submit", "alexnet", "--seed", "-1"],
+        ["warm", "--models", "lenet5", "--accelerators", "sa",
+         "--seed", "-1"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestCacheCommand:
     def test_stats_on_empty_dir(self, tmp_path):

@@ -2,7 +2,8 @@
 """Profile the simulator's hot paths: one representative GEMM per mode.
 
 Runs ``compress`` plus ``SystolicArray.run_gemm`` in each of the four
-execution modes (and the two raw sparse kernels), the three baseline
+execution modes (cycles and events only: the output is lazy, so the two
+raw sparse kernels are profiled on their own), the three baseline
 functional engines (SparTen bitmask inner-join, Eyeriss v2 CSC
 row-stationary mesh, SCNN Cartesian-product array), operand synthesis
 (``blocked_density_operand`` — the functional tier's other hot path),
@@ -52,7 +53,6 @@ def main(argv=None) -> int:
     from repro.core.dap import dap_prune
     from repro.core.dbb import DBBSpec, compress
     from repro.core.gemm import (
-        clear_compress_cache,
         compress_operands,
         dbb_gemm,
         joint_dbb_gemm,
@@ -82,7 +82,6 @@ def main(argv=None) -> int:
                                 w_spec=spec, a_spec=spec, tpe_a=8, tpe_c=4),
     }
     for name, config in configs.items():
-        clear_compress_cache()  # profile the cold path, not the memo hit
         sim = SystolicArray(config)
         _profile(f"run_gemm {name}", sim.run_gemm, a, w, top=args.top)
 
