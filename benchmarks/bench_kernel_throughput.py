@@ -9,7 +9,9 @@ tracks the vectorized array backend across PRs. Covered hot paths:
 - ``joint_dbb_gemm`` (S2TA-AW functional kernel),
 - ``SystolicArray.run_gemm`` in all four modes, with its lazy
   ``output`` read so the rate covers the kernel and not just the
-  event counting.
+  event counting,
+- ``spec_operands`` (the functional tier's DBB operand synthesis) on
+  one large VGG-16 conv layer, as synthesized elements per second.
 
 Sizes: small (toy), medium (the fig. 9 microbench layer), large
 (AlexNet-conv2 scale — the layer that used to extrapolate to hours on the
@@ -29,6 +31,8 @@ from repro.core.gemm import (
     joint_dbb_gemm,
 )
 from repro.eval import functional_operands
+from repro.models import vgg16_spec
+from repro.workloads.from_spec import spec_operands
 
 SPEC = DBBSpec(8, 4)
 
@@ -109,6 +113,21 @@ def test_bench_run_gemm(benchmark, size, mode):
     benchmark.extra_info["mode"] = mode
     benchmark.extra_info["cycles"] = result.cycles
     assert result.cycles > 0
+
+
+def test_bench_operand_synthesis(benchmark):
+    """Uncached synthesis of VGG-16 conv1_2 (50176x576 activations,
+    the largest conv operand of the fig. 11 networks)."""
+    layer = vgg16_spec().layer("conv1_2")
+    a, w = benchmark(spec_operands, layer, 0)
+    elements = a.size + w.size
+    benchmark.extra_info["layer"] = f"vgg16/{layer.name}"
+    benchmark.extra_info["elements"] = elements
+    if benchmark.stats is not None:  # absent under --benchmark-disable
+        mean = benchmark.stats.stats.mean
+        benchmark.extra_info["elements_per_s"] = (
+            elements / mean if mean else 0.0)
+    assert a.shape == (layer.m, layer.k) and w.shape == (layer.k, layer.n)
 
 
 def test_weight_compression_memo_shared_across_modes():

@@ -26,6 +26,9 @@ from repro.arch.events import EventCounts
 
 __all__ = ["SMTArrayModel", "SMTResult"]
 
+#: Most cycles' arrival rows drawn from the generator in one call.
+_DRAW_CYCLES = 1024
+
 
 @dataclass
 class SMTResult:
@@ -104,7 +107,20 @@ class SMTArrayModel:
         total_pops = 0
         # Hard bound so adversarial parameters cannot hang the simulation.
         max_cycles = stream_length * self.threads * 4 + 64
+        # Per-cycle arrival rows are drawn up to _DRAW_CYCLES at a time
+        # (a bulk binomial draw yields the same values as per-cycle
+        # draws). Each batch is no longer than the cycles certain to
+        # run, so every drawn row is used and ``rng`` ends in the same
+        # state as with one draw per cycle.
+        draws = np.empty((0, self.pes), dtype=np.int64)
+        row = 0
         while consumed < stream_length and cycles < max_cycles:
+            if row == draws.shape[0]:
+                batch = min(_DRAW_CYCLES, stream_length - consumed,
+                            max_cycles - cycles)
+                draws = rng.binomial(self.threads, p_useful,
+                                     size=(batch, self.pes))
+                row = 0
             cycles += 1
             # Service: each PE's MAC pops at most one pending pair.
             served = occupancy > 0
@@ -112,7 +128,8 @@ class SMTArrayModel:
             total_pops += int(np.count_nonzero(served))
             # Arrivals: all threads advance one stream element in lockstep
             # unless some PE's FIFO would overflow.
-            arrivals = rng.binomial(self.threads, p_useful, size=self.pes)
+            arrivals = draws[row]
+            row += 1
             if np.any(occupancy + arrivals > self.fifo_depth):
                 stall_cycles += 1
                 continue  # global stall: operand wavefront frozen

@@ -23,8 +23,17 @@ baselines (SparTen / Eyeriss v2 / SCNN) cross-validate their
 sparsity-compressed SRAM and DRAM byte counters *bit-for-bit* between the
 analytic and functional tiers: ``count_nonzero`` of a synthesized operand
 equals the analytic models' ``round(elements * density)`` closed form
-whenever ``density <= nnz_cap / block_size`` (above the cap the operand
+whenever ``density <= nnz_cap / BLOCK_SIZE`` (above the cap the operand
 saturates at the cap, as before).
+
+A block's positions are those of its smallest uniform random keys. They
+are found by threshold, not by a per-block sort: an 8-input sorting
+network (19 min/max comparators) runs over cache-sized chunks of blocks
+laid out as 8 columns, and each block keeps the keys up to its
+``nnz``-th smallest. The rare block whose threshold key ties the next
+one falls back to ``np.argsort``, so the choice equals a per-block
+argsort ranking bit for bit and the seed-fixed operand bytes do not
+depend on how the selection is computed.
 
 Generated operands are memoized in :class:`OperandCache`, an LRU bounded
 by a *byte budget* rather than an entry count (a single VGG conv layer's
@@ -60,52 +69,55 @@ def blocked_density_operand(
     nnz_cap: int,
     density: float,
     rng: np.random.Generator,
-    block_size: int = BLOCK_SIZE,
     dtype=np.int8,
 ) -> np.ndarray:
     """Random ``(rows, width)`` tensor: per-block NNZ cap + element density.
 
-    Blocks run along the last axis; ``width`` need not be a multiple of
-    ``block_size`` (the ragged tail block simply has fewer candidate
+    Blocks of ``BLOCK_SIZE`` run along the last axis; ``width`` need not
+    be a multiple of it (the ragged tail block simply has fewer candidate
     positions). Every block holds at most ``nnz_cap`` non-zeros, and the
     total non-zero count over the valid ``rows * width`` region equals
     ``round(rows * width * density)`` *exactly* (largest-remainder
     allocation of the per-block real-valued targets, clipped to the cap —
-    the exact total holds whenever ``density <= nnz_cap / block_size``;
+    the exact total holds whenever ``density <= nnz_cap / BLOCK_SIZE``;
     above it the tensor saturates at the cap). Random tie-breaking among
     equal fractional remainders keeps the allocation unbiased.
+
+    Each block's ``nnz[b]`` positions are the ones holding its ``nnz[b]``
+    smallest uniform random keys (see :func:`_choose_positions`).
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
-    if not 1 <= nnz_cap <= block_size:
+    if not 1 <= nnz_cap <= BLOCK_SIZE:
         raise ValueError(
-            f"nnz_cap must be in [1, {block_size}], got {nnz_cap}")
-    kb = -(-width // block_size)
-    padded = kb * block_size
-    # Valid (non-padding) positions per block along one row.
-    valid = np.full(kb, block_size, dtype=np.int64)
-    tail = width - (kb - 1) * block_size
+            f"nnz_cap must be in [1, {BLOCK_SIZE}], got {nnz_cap}")
+    kb = -(-width // BLOCK_SIZE)
+    padded = kb * BLOCK_SIZE
+    tail = width - (kb - 1) * BLOCK_SIZE
+    # Per-block bookkeeping for one row of blocks: every block is full
+    # except the ragged tail, so rows differ only in their allocation.
+    valid = np.full(kb, BLOCK_SIZE, dtype=np.int8)
     valid[-1] = tail
-    valid = np.broadcast_to(valid, (rows, kb)).reshape(-1)
     # Largest-remainder allocation of the exact total across blocks
     # (same ``round`` expression as the analytic models' stored-byte
     # closed forms, so the two tiers agree bit-for-bit on nnz).
     cap = np.minimum(nnz_cap, valid)
     target = density * valid
-    nnz = np.minimum(np.floor(target).astype(np.int64), cap)
-    total = min(int(round(rows * width * density)), int(cap.sum()))
-    deficit = total - int(nnz.sum())
+    nnz_row = np.minimum(np.floor(target), cap).astype(np.int8)
+    total = min(int(round(rows * width * density)), rows * int(cap.sum()))
+    deficit = total - rows * int(nnz_row.sum())
     frac = target - np.floor(target)
-    tiebreak = rng.random(valid.size)
+    tiebreak = rng.random(rows * kb).reshape(rows, kb)
+    nnz = np.tile(nnz_row, (rows, 1))
     _allocate_deficit(nnz, cap, frac, tiebreak, deficit)
-    # Choose nnz[b] positions per block among its valid ones: rank random
-    # keys per block (invalid positions get +inf) and keep the smallest.
-    keys = rng.random((valid.size, block_size), dtype=np.float32)
-    keys[np.arange(block_size)[None, :] >= valid[:, None]] = np.inf
-    order = np.argsort(keys, axis=1)
-    chosen = np.arange(block_size, dtype=np.int64)[None, :] < nnz[:, None]
-    mask = np.zeros_like(chosen)
-    np.put_along_axis(mask, order, chosen, axis=1)
+    # Each draw is freed once used, so the per-block arrays never all
+    # coexist with the magnitude and sign draws.
+    del tiebreak
+    keys = rng.random((rows * kb, BLOCK_SIZE), dtype=np.float32)
+    if tail < BLOCK_SIZE:
+        keys.reshape(rows, kb, BLOCK_SIZE)[:, -1, tail:] = np.inf
+    mask = _choose_positions(keys, nnz.reshape(-1))
+    del keys
     magnitude = rng.integers(1, 128, size=mask.shape, dtype=np.int16)
     sign = rng.integers(0, 2, size=mask.shape, dtype=np.int16)
     # In-place (same RNG draws, same values as the where(mask, m*s, 0)
@@ -122,48 +134,152 @@ def _allocate_deficit(nnz: np.ndarray, cap: np.ndarray, frac: np.ndarray,
                       tiebreak: np.ndarray, deficit: int) -> None:
     """Add ``deficit`` non-zeros to ``nnz`` in place, one per block in
     order of decreasing ``frac`` then increasing ``tiebreak``, skipping
-    blocks at their ``cap`` and wrapping round until none is left."""
+    blocks at their ``cap`` and wrapping round until none is left.
+
+    ``nnz`` (C-contiguous) and ``tiebreak`` have one entry per block;
+    ``cap`` and ``frac`` broadcast against them, so a synthesized
+    operand passes one row of blocks for each. Blocks are ordered by
+    their flat C index where ``frac`` and ``tiebreak`` both tie."""
     if deficit <= 0:
         return
     if deficit <= nnz.size and bool((nnz < cap).all()):
         bump = _first_blocks(frac, tiebreak, deficit)
         if bump is not None:
-            nnz[bump] += 1
+            nnz += bump
             return
-    order = np.lexsort((tiebreak, -frac))
+    flat = nnz.reshape(-1)
+    cap = np.broadcast_to(cap, nnz.shape).reshape(-1)
+    order = np.lexsort((tiebreak.reshape(-1),
+                        -np.broadcast_to(frac, nnz.shape).reshape(-1)))
     while deficit > 0:
-        room = order[(cap - nnz)[order] > 0]
+        room = order[(cap - flat)[order] > 0]
         bump = room[:deficit]
-        nnz[bump] += 1
+        flat[bump] += 1
         deficit -= bump.size
 
 
 def _first_blocks(frac: np.ndarray, tiebreak: np.ndarray, count: int
                   ) -> Optional[np.ndarray]:
-    """The first ``count`` indices of ``np.lexsort((tiebreak, -frac))``
-    as a set, without the full sort: ``frac`` takes few distinct values
+    """The first ``count`` blocks of ``np.lexsort((tiebreak, -frac))``
+    as a boolean mask shaped like ``tiebreak``, without the full sort:
+    ``frac`` (broadcast against ``tiebreak``) takes few distinct values
     (a synthesized operand has two, full blocks and the ragged tail), so
     whole levels are taken from the highest down and the boundary level
-    contributes its ``count`` smallest tiebreaks via ``argpartition``.
-    ``None`` when the boundary tiebreak value is tied (the stable sort
-    would then break the tie by index)."""
-    taken = []
-    remaining = np.ones(frac.size, dtype=bool)
-    while count > 0:
-        level = frac[remaining].max()
-        members = np.flatnonzero(remaining & (frac == level))
-        if members.size <= count:
-            taken.append(members)
-            remaining[members] = False
-            count -= members.size
+    contributes the blocks whose tiebreak is at most its ``count``-th
+    smallest (``np.partition``). ``None`` when that tiebreak value ties
+    the next one (the stable sort would then break the tie by index)."""
+    chosen = np.zeros(tiebreak.shape, dtype=bool)
+    for level in np.unique(frac)[::-1]:
+        members = np.broadcast_to(frac == level, tiebreak.shape)
+        size = int(np.count_nonzero(members))
+        if size <= count:
+            chosen |= members
+            count -= size
+            if count == 0:
+                break
             continue
-        keys = tiebreak[members]
-        part = np.argpartition(keys, (count - 1, count))
-        if keys[part[count - 1]] == keys[part[count]]:
+        keys = tiebreak.reshape(-1) if size == tiebreak.size \
+            else tiebreak[members]
+        low = np.partition(keys, (count - 1, count))
+        if low[count - 1] == low[count]:
             return None
-        taken.append(members[part[:count]])
+        chosen |= members & (tiebreak <= low[count - 1])
         break
-    return np.concatenate(taken)
+    return chosen
+
+
+# Batcher's odd-even merge sort network for 8 inputs (19 comparators).
+_SORT8 = ((0, 1), (2, 3), (4, 5), (6, 7),
+          (0, 2), (1, 3), (4, 6), (5, 7),
+          (1, 2), (5, 6),
+          (0, 4), (1, 5), (2, 6), (3, 7),
+          (2, 4), (3, 5),
+          (1, 2), (3, 4), (5, 6))
+
+
+def _network_schedule() -> Tuple[tuple, np.ndarray]:
+    """:data:`_SORT8` as buffer-row steps ``(lo, hi, spare)`` over an
+    ``(BLOCK_SIZE + 3)``-row work buffer whose rows ``1..BLOCK_SIZE``
+    hold the inputs and whose last row starts as the spare.
+
+    Each comparator writes its minimum into the spare and its maximum
+    over ``hi`` in place; ``lo``'s row becomes the next spare, so no
+    row is copied back. Also returns the final buffer row of each
+    sorted position ``0..BLOCK_SIZE + 1`` (rows 0 and ``BLOCK_SIZE + 1``
+    stay put)."""
+    row = list(range(BLOCK_SIZE + 2))
+    spare = BLOCK_SIZE + 2
+    steps = []
+    for i, j in _SORT8:
+        lo, hi = row[i + 1], row[j + 1]
+        steps.append((lo, hi, spare))
+        row[i + 1], spare = spare, lo
+    return tuple(steps), np.array(row, dtype=np.intp)
+
+
+_NETWORK_STEPS, _SORTED_ROW = _network_schedule()
+
+# Blocks per pass of the sorting network: the (11, chunk) float32 work
+# buffer stays within a core's L2 cache.
+_CHUNK_BLOCKS = 1 << 14
+
+
+def _run_network(work: np.ndarray) -> None:
+    """Sort the columns of ``work``'s input rows in place (sorted
+    position ``i`` lands in row ``_SORTED_ROW[i + 1]``)."""
+    for lo, hi, spare in _NETWORK_STEPS:
+        np.minimum(work[lo], work[hi], out=work[spare])
+        np.maximum(work[lo], work[hi], out=work[hi])
+
+
+def _choose_positions(keys: np.ndarray, nnz: np.ndarray) -> np.ndarray:
+    """Boolean mask of each block's ``nnz[b]`` smallest keys.
+
+    ``keys`` is ``(blocks, BLOCK_SIZE)`` (padding positions hold
+    ``+inf``) and ``nnz[b]`` at most the block's valid positions. The
+    result equals ranking each row with ``np.argsort`` and marking its
+    first ``nnz[b]`` entries, without the per-row sort: chunk by chunk,
+    the keys are transposed to ``BLOCK_SIZE`` rows and sorted column-wise
+    by the :data:`_SORT8` min/max network, and each block keeps the keys
+    ``<=`` its ``nnz[b]``-th smallest. That threshold picks exactly
+    ``nnz[b]`` positions unless the next-larger key equals it; those
+    few tied blocks are re-chosen with the ``argsort`` itself, so the
+    mask matches the per-row ranking whatever order the sort gives
+    equal keys.
+    """
+    blocks = keys.shape[0]
+    mask = np.empty(keys.shape, dtype=bool)
+    width = min(blocks, _CHUNK_BLOCKS)
+    # Row 0 (-inf) and row BLOCK_SIZE + 1 (+inf) bracket the sorted keys
+    # so nnz == 0 selects nothing and nnz == BLOCK_SIZE never ties.
+    buf = np.empty((BLOCK_SIZE + 3, width), dtype=keys.dtype)
+    buf[0] = -np.inf
+    buf[BLOCK_SIZE + 1] = np.inf
+    flat = buf.reshape(-1)
+    # Flat offset of sorted position i's row; a block's column is added.
+    offset = _SORTED_ROW * width
+    cols = np.arange(width)
+    tied = []
+    for start in range(0, blocks, width):
+        chunk = keys[start:start + width]
+        count = nnz[start:start + width]
+        n = chunk.shape[0]
+        buf[1:BLOCK_SIZE + 1, :n] = chunk.T
+        _run_network(buf[:, :n])
+        threshold = flat.take(offset[count] + cols[:n])
+        above = flat.take(offset[count + 1] + cols[:n])
+        np.less_equal(chunk, threshold[:, None], out=mask[start:start + n])
+        tie = np.flatnonzero(threshold == above)
+        if tie.size:
+            tied.append(tie + start)
+    if tied:
+        tied = np.concatenate(tied)
+        order = np.argsort(keys[tied], axis=1)
+        chosen = np.arange(BLOCK_SIZE)[None, :] < nnz[tied, None]
+        redo = np.zeros_like(chosen)
+        np.put_along_axis(redo, order, chosen, axis=1)
+        mask[tied] = redo
+    return mask
 
 
 def spec_operands(
@@ -230,8 +346,10 @@ class OperandCache:
 
     @staticmethod
     def _key(layer: LayerSpec, seed: int) -> tuple:
+        # Exact densities: synthesis uses them unrounded, so specs that
+        # differ anywhere in a density may differ in non-zero count.
         return (layer.m, layer.k, layer.n, layer.w_nnz, layer.a_nnz,
-                round(layer.w_density, 6), round(layer.a_density, 6), seed)
+                layer.w_density, layer.a_density, seed)
 
     def get(self, layer: LayerSpec, seed: int = 0
             ) -> Tuple[np.ndarray, np.ndarray]:

@@ -93,3 +93,64 @@ class TestQueueingBehaviour:
         model = SMTArrayModel(threads=4, fifo_depth=1, pes=512)
         result = model.simulate(1.0, 1.0, 128, rng=_rng())
         assert result.cycles <= 128 * 4 * 4 + 64 + 128 + model.skew
+
+
+def _per_cycle_reference(model, weight_density, act_density,
+                         stream_length, rng):
+    """The queueing loop with one ``rng.binomial`` draw per cycle:
+    ``(cycles, stall_cycles, pushes, pops)``."""
+    p_useful = weight_density * act_density
+    occupancy = np.zeros(model.pes, dtype=np.int64)
+    consumed = cycles = stall_cycles = pushes = pops = 0
+    max_cycles = stream_length * model.threads * 4 + 64
+    while consumed < stream_length and cycles < max_cycles:
+        cycles += 1
+        served = occupancy > 0
+        occupancy[served] -= 1
+        pops += int(np.count_nonzero(served))
+        arrivals = rng.binomial(model.threads, p_useful, size=model.pes)
+        if np.any(occupancy + arrivals > model.fifo_depth):
+            stall_cycles += 1
+            continue
+        occupancy += arrivals
+        pushes += int(arrivals.sum())
+        consumed += 1
+    cycles += int(occupancy.max()) + model.skew
+    pops += int(occupancy.sum())
+    return cycles, stall_cycles, pushes, pops
+
+
+class TestChunkedArrivalDraws:
+    """Arrivals drawn in multi-cycle batches reproduce the per-cycle
+    draws exactly, and leave the generator in the same state."""
+
+    @pytest.mark.parametrize("threads, fifo_depth", [(2, 2), (2, 4)])
+    def test_matches_per_cycle_reference_over_density_grid(
+            self, threads, fifo_depth):
+        model = SMTArrayModel(threads=threads, fifo_depth=fifo_depth)
+        for w in (0.05, 0.5, 0.95):
+            for a in (0.2, 0.6, 1.0):
+                rng, ref_rng = _rng(), _rng()
+                result = model.simulate(w, a, 1500, rng=rng)
+                expected = _per_cycle_reference(model, w, a, 1500, ref_rng)
+                assert (result.cycles, result.stall_cycles,
+                        result.events.fifo_push_ops,
+                        result.events.fifo_pop_ops) == expected
+                assert rng.random() == ref_rng.random()
+
+    def test_termination_guard_matches_reference(self):
+        model = SMTArrayModel(threads=4, fifo_depth=1, pes=512)
+        result = model.simulate(1.0, 1.0, 128, rng=_rng())
+        expected = _per_cycle_reference(model, 1.0, 1.0, 128, _rng())
+        assert (result.cycles, result.stall_cycles) == expected[:2]
+
+    def test_smt_speedups_unchanged(self):
+        from repro.accel.smt import SmtSA
+
+        smt = SmtSA()
+        for w, a in ((0.3, 0.4), (0.5, 0.5), (0.9, 0.8)):
+            ref = _per_cycle_reference(
+                smt._queue_model, w, a, 1152,
+                np.random.default_rng(round(w * 100) * 101 + round(a * 100)))
+            dense = smt.threads * 1152 + smt._queue_model.skew
+            assert smt.speedup_at(w, a) == max(1.0, dense / ref[0])

@@ -7,6 +7,9 @@ and the weight-compression memo hit/miss accounting in
 :func:`repro.core.gemm.compress_cached`.
 """
 
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.dbb import DBBSpec
 from repro.core.pruning import is_dbb_compliant
 from repro.core.sparsity import density
+from repro.models import alexnet_spec, vgg16_spec
 from repro.models.specs import BLOCK_SIZE, LayerKind, LayerSpec
 from repro.workloads import from_spec
 from repro.workloads.from_spec import (
@@ -140,6 +144,134 @@ class TestDeficitAllocation:
         from_spec._allocate_deficit(nnz, cap, frac, tiebreak, 2)
         np.testing.assert_array_equal(nnz, expected)
         np.testing.assert_array_equal(nnz, [0, 1, 1, 0, 0])
+
+    @given(st.integers(1, 40), st.integers(1, 70), st.integers(1, 8),
+           st.floats(0.0, 1.0), st.integers(0, 1000))
+    @settings(max_examples=100, deadline=None)
+    def test_row_broadcast_matches_flat(self, rows, width, nnz_cap, dens,
+                                        seed):
+        """The operand passes one row of ``cap``/``frac`` against a 2-D
+        ``nnz``; that allocates exactly like the flat per-block form."""
+        nnz, cap, frac, tiebreak, deficit = _allocation_inputs(
+            rows, width, nnz_cap, dens, seed)
+        kb = -(-width // BLOCK_SIZE)
+        expected = _exact_allocation(nnz, cap, frac, tiebreak, deficit)
+        nnz2 = nnz.astype(np.int8).reshape(rows, kb)
+        from_spec._allocate_deficit(nnz2, cap[:kb].astype(np.int8),
+                                    frac[:kb], tiebreak.reshape(rows, kb),
+                                    deficit)
+        np.testing.assert_array_equal(nnz2.reshape(-1), expected)
+
+
+def _argsort_positions(keys, nnz):
+    """The reference choice: rank each block's keys with ``argsort`` and
+    mark the first ``nnz[b]`` ranked positions."""
+    order = np.argsort(keys, axis=1)
+    chosen = np.arange(BLOCK_SIZE)[None, :] < nnz[:, None]
+    mask = np.zeros_like(chosen)
+    np.put_along_axis(mask, order, chosen, axis=1)
+    return mask
+
+
+@st.composite
+def _keyed_blocks(draw):
+    """``(keys, nnz)`` with keys from a tiny alphabet (ties straddle the
+    threshold), ``+inf`` on each block's invalid tail and ``nnz[b]`` in
+    ``[0, valid]``."""
+    blocks = draw(st.integers(1, 60))
+    alphabet = np.array(draw(st.lists(
+        st.floats(0.0, 1.0, width=32), min_size=1, max_size=3)),
+        dtype=np.float32)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = alphabet[rng.integers(0, alphabet.size, (blocks, BLOCK_SIZE))]
+    valid = rng.integers(1, BLOCK_SIZE + 1, blocks)
+    keys[np.arange(BLOCK_SIZE)[None, :] >= valid[:, None]] = np.inf
+    nnz = rng.integers(0, valid + 1).astype(np.int8)
+    return keys, nnz
+
+
+class TestChoosePositions:
+    """The sorting-network threshold choice equals per-block argsort."""
+
+    @given(_keyed_blocks(), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_argsort_reference(self, blocks, chunk):
+        keys, nnz = blocks
+        with mock.patch.object(from_spec, "_CHUNK_BLOCKS", chunk):
+            mask = from_spec._choose_positions(keys, nnz)
+        np.testing.assert_array_equal(mask, _argsort_positions(keys, nnz))
+        np.testing.assert_array_equal(mask.sum(axis=1), nnz)
+
+    def test_distinct_keys_match_reference_across_chunks(self):
+        rng = np.random.default_rng(0)
+        blocks = 3 * from_spec._CHUNK_BLOCKS + 5
+        keys = rng.random((blocks, BLOCK_SIZE), dtype=np.float32)
+        keys[::7, 5:] = np.inf
+        nnz = rng.integers(0, BLOCK_SIZE + 1, blocks).astype(np.int8)
+        nnz[::7] = np.minimum(nnz[::7], 5)
+        np.testing.assert_array_equal(from_spec._choose_positions(keys, nnz),
+                                      _argsort_positions(keys, nnz))
+
+    def test_tied_threshold_takes_argsort_fallback(self):
+        keys = np.full((2, BLOCK_SIZE), 0.5, dtype=np.float32)
+        keys[1, ::2] = 0.25
+        nnz = np.array([3, 2], dtype=np.int8)
+        with mock.patch.object(from_spec.np, "argsort",
+                               wraps=np.argsort) as argsort:
+            mask = from_spec._choose_positions(keys, nnz)
+        assert argsort.call_args.args[0].shape == (2, BLOCK_SIZE)
+        np.testing.assert_array_equal(mask, _argsort_positions(keys, nnz))
+
+    def test_network_sorts_every_binary_input(self):
+        """0-1 principle: a comparator network that sorts all 2^8
+        binary inputs sorts every input."""
+        inputs = (np.arange(256)[:, None] >> np.arange(BLOCK_SIZE)) & 1
+        work = np.empty((BLOCK_SIZE + 3, 256), dtype=np.float32)
+        work[1:BLOCK_SIZE + 1] = inputs.T
+        from_spec._run_network(work)
+        ranked = work[from_spec._SORTED_ROW[1:BLOCK_SIZE + 1]]
+        np.testing.assert_array_equal(ranked, np.sort(inputs.T, axis=0))
+        assert len(from_spec._SORT8) == 19
+
+
+#: sha256 over ``A.tobytes() + W.tobytes()`` of :func:`spec_operands`.
+#: None of these layers has a tied threshold key, so the bytes do not
+#: depend on how ``np.argsort`` orders equal keys.
+_OPERAND_DIGESTS = {
+    # AlexNet conv1: ragged k=363, activation density 1.0.
+    ("alexnet", "conv1", 0):
+        "6cf9b0669342437dc4d3caacb9df148a5506fb59eb17a7ec2e8fe3c63b5d122f",
+    ("alexnet", "conv1", 1):
+        "1ede54c50c6812fc7563c1703fc173ed36388c98503d04048443cf07b147e3e8",
+    # AlexNet conv2: a_nnz=4, weight density exactly w_nnz/8.
+    ("alexnet", "conv2", 0):
+        "e8ef60c7218377b60963f33593a7cd85ba67548f8189094424279425c5653152",
+    ("alexnet", "conv2", 1):
+        "9109673e34c0e749fd0ddd292c9304c465902f985b094d8e22d602235e3753b0",
+    # AlexNet conv5: a_nnz=2 with a fractional activation target.
+    ("alexnet", "conv5", 0):
+        "79605aa98006ed624a08ddd9b2f58e73f41e98fd2bd7e6ac571597c213a17c15",
+    ("alexnet", "conv5", 1):
+        "48e009237ed7b73e43b8b069cbe2a504faea12efaa815a35cb228e9c38b530d4",
+    # VGG-16 conv1_1: k=27, a single ragged block per row.
+    ("vgg16", "conv1_1", 0):
+        "9b0b2dab3a1c3697e6d1119bd289dca01525e8ff36d4d44fb64232a7e36363bc",
+    ("vgg16", "conv1_1", 1):
+        "67443bd994e2fc4938ff42447ec2101b49ce91e38fc31e3fbf8093d3f7e5ce82",
+}
+
+_PIN_MODELS = {"alexnet": alexnet_spec, "vgg16": vgg16_spec}
+
+
+class TestOperandBytesPinned:
+    """Seed-fixed operand bytes: any change to the RNG draws, their
+    order or the position choice shows here first."""
+
+    @pytest.mark.parametrize("model, layer, seed", sorted(_OPERAND_DIGESTS))
+    def test_digest(self, model, layer, seed):
+        a, w = spec_operands(_PIN_MODELS[model]().layer(layer), seed=seed)
+        digest = hashlib.sha256(a.tobytes() + w.tobytes()).hexdigest()
+        assert digest == _OPERAND_DIGESTS[model, layer, seed]
 
 
 class TestSpecOperands:
@@ -308,6 +440,19 @@ class TestOperandCache:
     def test_validation(self):
         with pytest.raises(ValueError):
             OperandCache(max_bytes=0)
+
+    def test_densities_closer_than_1e6_get_distinct_entries(self):
+        """Synthesis uses the exact density, so the key must too: these
+        two specs differ by two activation non-zeros."""
+        cache = OperandCache(max_bytes=1 << 30)
+        near = _layer(m=4096, k=1152, n=8, a_nnz=8, a_density=0.4)
+        nearer = _layer(m=4096, k=1152, n=8, a_nnz=8, a_density=0.4000004)
+        a_near, _ = cache.get(near)
+        a_nearer, _ = cache.get(nearer)
+        assert cache.stats()["misses"] == 2
+        assert np.count_nonzero(a_near) == 1887437
+        assert np.count_nonzero(a_nearer) == 1887439
+        assert np.count_nonzero(spec_operands(nearer)[0]) == 1887439
 
 
 class TestFunctionalOperandsMemo:
