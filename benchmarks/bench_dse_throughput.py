@@ -2,20 +2,17 @@
 
 Not a paper artifact — this benchmark freezes the sustained rate at
 which the design-space exploration engine (:mod:`repro.design.dse`)
-pushes configurations through the analytic evaluation path, under the
-two regimes that matter for a thousands-of-points sweep:
+pushes configurations through the analytic evaluation path, cold (no
+result cache): every point builds its accelerator, prices the
+closed-form layer events and finalizes through the memory-hierarchy/
+energy pipeline. This is the rate that bounds how large a space one
+host can cover, so a regression here (a slow constructor, an
+accidental functional-tier dispatch, a pool fan-out of sub-millisecond
+tasks) directly shrinks explorable spaces. There is no warm regime:
+analytic payloads are never stored in the result cache, because
+re-evaluating them is cheaper than reading them back.
 
-- **cold** (no result cache) — every point builds its accelerator,
-  prices the closed-form layer events and finalizes through the
-  memory-hierarchy/energy pipeline; this is the rate that bounds how
-  large a space one host can cover, so a regression here (a slow
-  constructor, an accidental functional-tier dispatch, a pool fan-out
-  of sub-millisecond tasks) directly shrinks explorable spaces;
-- **warm** (result cache primed by an identical sweep) — the re-sweep /
-  shard-merge regime; must hit the cache on >90% of lookups, the
-  acceptance bound for overlapping sweeps sharing one store.
-
-Both regimes record ``extra_info.configs_per_s``;
+The record carries ``extra_info.configs_per_s``;
 ``tools/check_bench_regression.py`` prefers that metric for these
 records, so the nightly gate fails on a >10% throughput drop. ``jobs``
 is pinned to 1: per-point analytic evaluation is sub-millisecond, so a
@@ -27,7 +24,6 @@ here).
 import time
 
 from repro.design.dse import DSEAxes, run_dse
-from repro.eval.resultcache import ResultCache
 
 #: Large enough for a stable rate and to exercise refinement, small
 #: enough to keep the nightly suite snappy (~700 points evaluated).
@@ -61,14 +57,3 @@ def _timed_sweep(benchmark, scenario, result_cache):
 def test_bench_dse_analytic_cold(benchmark):
     _timed_sweep(benchmark, "cold", result_cache=None)
 
-
-def test_bench_dse_analytic_warm(benchmark, tmp_path):
-    cache = ResultCache(tmp_path / "results")
-    run_dse(AXES, coarse_stride=COARSE_STRIDE, jobs=1,
-            result_cache=cache)  # prime (untimed)
-    cache.hits = cache.misses = 0
-    artifact = _timed_sweep(benchmark, "warm", result_cache=cache)
-    meta = artifact["meta"]["cache"]
-    benchmark.extra_info["cache_hit_rate"] = round(meta["hit_rate"], 4)
-    assert meta["hit_rate"] > 0.90, \
-        f"warm re-sweep hit rate {meta['hit_rate']:.1%} <= 90%"

@@ -50,7 +50,7 @@ payload must never be what re-validates the agreement contract.
 ``repro dse`` scales the Sec. 7 sweep into a distributed, adaptive
 design-space exploration (:mod:`repro.design.dse`): thousands of
 ``AxBxC_MxN`` x (A-DBB, SRAM, DRAM bandwidth, tech) points, evaluated
-through the same parallel memoized runner, coarse-sampled then
+through the same parallel runner, coarse-sampled then
 adaptively refined around the (energy x cycles x area) Pareto frontier.
 ``--shard I/N`` + ``--out`` freeze one deterministic slice per host;
 ``--merge`` unions the shard artifacts and completes the refinement,
@@ -689,8 +689,7 @@ def cmd_warm(args) -> str:
     for model in models:
         for accel in accels:
             data = {"model": model, "accelerator": accel,
-                    "tier": args.tier, "quick": args.quick,
-                    "seed": args.seed}
+                    "quick": args.quick, "seed": args.seed}
             try:
                 requests.append(parse_request(data))
             except ValueError as exc:
@@ -900,7 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="table rows to print (default 12)")
     dse.add_argument("--no-result-cache", action="store_true",
                      help="skip the on-disk result cache for this "
-                          "invocation (see 'repro cache')")
+                          "invocation (functional fidelity only; "
+                          "analytic points are never cached)")
     _add_obs_flags(dse)
     _add_verbosity_flags(dse)
     dse.set_defaults(func=cmd_dse)
@@ -1049,16 +1049,16 @@ def build_parser() -> argparse.ArgumentParser:
         "warm",
         help="pre-populate the result cache for popular pairs",
         description="Run every (model, accelerator) pair through the "
-                    "engine with the on-disk result cache attached, so "
-                    "subsequent service jobs (and experiments) for "
-                    "those pairs skip straight to finalization.")
+                    "functional engine with the on-disk result cache "
+                    "attached, so subsequent service jobs (and "
+                    "experiments) for those pairs skip straight to "
+                    "finalization. Analytic payloads are never cached, "
+                    "so there is nothing to warm for that tier.")
     warm.add_argument("--models", required=True, metavar="A,B,...",
                       help="comma list of model specs to warm")
     warm.add_argument("--accelerators", required=True,
                       metavar="X,Y,...",
                       help="comma list of accelerator keys to warm")
-    warm.add_argument("--tier", default="functional",
-                      choices=("functional", "analytic"))
     warm.add_argument("--quick", action="store_true",
                       help="warm the quick-mode (subsampled) payloads "
                            "instead of full-size")

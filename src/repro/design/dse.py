@@ -1,7 +1,9 @@
 """Distributed, adaptive design-space exploration — Sec. 7 at scale.
 
 The paper's Sec. 7 sweep walks a few dozen ``AxBxC_MxN`` points on one
-workload and picks the lowest-power design inside an area budget. This
+workload and picks the lowest-power design inside an area budget
+(:data:`SEC7_AXES` + :func:`evaluate_points` +
+:func:`select_lowest_power` — ``repro sweep`` is exactly that). This
 module grows that tabulated sweep into a real DSE engine in the style
 of Timeloop/Accelergy-class infrastructure:
 
@@ -10,14 +12,15 @@ of Timeloop/Accelergy-class infrastructure:
   the DBB weight bound B, the per-layer activation DBB bound, SRAM
   size, DRAM bandwidth and technology node — thousands of points,
   enumerated in one deterministic order (:class:`DSESpace`).
-- **Evaluation** fans out through the parallel runner
+- **Evaluation** runs through the parallel runner
   (:func:`repro.eval.runner.simulate_layer_tasks`) as analytic (or,
-  optionally, functional) layer tasks, memoized in the content-addressed
-  result cache (:mod:`repro.eval.resultcache`): a DSE point's layer
-  payloads are reused across re-sweeps, shards and overlapping spaces.
-- **Pareto extraction** is three-dimensional — (energy, cycles, area) —
-  rather than the Sec. 7 power-area plane, so latency-optimal designs
-  survive alongside the paper's power pick.
+  optionally, functional) layer tasks. Analytic points are closed-form
+  and cheaper to recompute than to read back, so only functional-tier
+  payloads go to the result cache (:mod:`repro.eval.resultcache`).
+- **Pareto extraction** defaults to three dimensions — (energy, cycles,
+  area) — so latency-optimal designs survive alongside the paper's
+  power pick; Sec. 7's power-area plane is the same function given
+  ``objectives=("power_mw", "area_mm2")``.
 - **Adaptive refinement**: the space is sampled coarsely (every
   ``coarse_stride``-th point), then re-enumerated densely around the
   frontier — each round evaluates the unevaluated neighborhood of every
@@ -28,7 +31,7 @@ of Timeloop/Accelergy-class infrastructure:
 - **Sharding**: ``shard=(i, n)`` deterministically partitions the
   coarse sample across hosts; each shard freezes its evaluations into
   a JSON artifact and :func:`merge_artifacts` unions them and runs the
-  (cheap, cache-backed) refinement — producing an artifact identical to
+  (cheap) refinement — producing an artifact identical to
   an unsharded run by construction (asserted in
   ``tests/design/test_dse.py``).
 - **Checkpoint/resume**: ``checkpoint=PATH`` atomically snapshots the
@@ -47,6 +50,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -67,6 +71,8 @@ __all__ = [
     "DSEEvaluation",
     "DSESpace",
     "DSE_CHECKPOINT_VERSION",
+    "DSE_OBJECTIVES",
+    "SEC7_AXES",
     "evaluate_points",
     "load_checkpoint",
     "pareto_frontier_3d",
@@ -74,6 +80,7 @@ __all__ = [
     "merge_artifacts",
     "parse_shard",
     "render_artifact",
+    "select_lowest_power",
 ]
 
 #: Bumped whenever the checkpoint payload shape changes; resume refuses
@@ -85,6 +92,9 @@ DSE_CHECKPOINT_VERSION = 1
 #: differ (under the exact MAC budget a single field can never change
 #: alone, so distance two is the tightest real adjacency).
 _DESIGN_FIELDS = ("tpe_a", "tpe_c", "rows", "cols", "weight_nnz")
+
+#: The DSE engine's minimized objectives (:class:`DSEEvaluation` fields).
+DSE_OBJECTIVES = ("energy_uj", "cycles", "area_mm2")
 
 
 @dataclass(frozen=True)
@@ -137,6 +147,12 @@ class DSEAxes:
                             for bw in data["dram_gbps"]),
             techs=tuple(str(t) for t in data["techs"]),
         )
+
+
+#: The paper's Sec. 7 sweep: time-unrolled TPEs, B=4 weights, the typical
+#: conv layer at 4/8 A-DBB, the default 2.5 MB SRAM, DRAM and 16 nm node.
+SEC7_AXES = DSEAxes(styles=(True,), weight_nnz=(4,), a_nnz=(4,),
+                    sram_mb=(2.5,))
 
 
 @dataclass(frozen=True)
@@ -213,23 +229,43 @@ def _dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 
 def pareto_frontier_3d(
     evaluations: Iterable[DSEEvaluation],
+    objectives: Sequence[str] = DSE_OBJECTIVES,
 ) -> List[DSEEvaluation]:
-    """Non-dominated points on (energy, cycles, area).
+    """Non-dominated points on the minimized ``objectives`` (field
+    names; (energy, cycles, area) by default, (power, area) for Sec. 7).
 
     Exact objective ties all survive, and the result — content and
     order — is a pure function of the evaluation *set*, independent of
-    input order (the property test in ``tests/design/test_dse.py``).
+    input order (the property tests in ``tests/design/test_dse.py``).
     """
-    ranked = sorted(evaluations, key=lambda e: (e.objectives, e.uid))
-    frontier: List[DSEEvaluation] = []
-    for entry in ranked:
-        if any(_dominates(kept.objectives, entry.objectives)
-               for kept in frontier):
-            continue
-        frontier = [kept for kept in frontier
-                    if not _dominates(entry.objectives, kept.objectives)]
-        frontier.append(entry)
-    return sorted(frontier, key=lambda e: (e.objectives, e.uid))
+    # Lexicographic order puts every dominator before what it dominates,
+    # so one pass against the kept points suffices.
+    ranked = sorted(
+        ((tuple(getattr(e, name) for name in objectives), e.uid, e)
+         for e in evaluations),
+        key=lambda scored: scored[:2])
+    frontier: List[Tuple[Tuple[float, ...], DSEEvaluation]] = []
+    for values, _, entry in ranked:
+        if not any(_dominates(kept, values) for kept, _ in frontier):
+            frontier.append((values, entry))
+    return [entry for _, entry in frontier]
+
+
+def select_lowest_power(
+    evaluations: Iterable[DSEEvaluation],
+    area_budget_mm2: float = math.inf,
+) -> DSEEvaluation:
+    """The paper's Sec. 7 selection rule: lowest power within the area
+    budget.
+
+    Power ties break toward the smaller die, then the uid, so the pick
+    is deterministic regardless of enumeration order.
+    """
+    feasible = [e for e in evaluations if e.area_mm2 <= area_budget_mm2]
+    if not feasible:
+        raise ValueError(
+            f"no design fits the {area_budget_mm2} mm^2 budget")
+    return min(feasible, key=lambda e: (e.power_mw, e.area_mm2, e.uid))
 
 
 class DSESpace:
@@ -345,15 +381,15 @@ def evaluate_points(
     jobs: Optional[int] = None,
     result_cache=None,
 ) -> Dict[str, DSEEvaluation]:
-    """Evaluate each point's reference workload through the parallel,
-    memoized runner; returns ``{uid: evaluation}``.
+    """Evaluate each point's reference workload through the parallel
+    runner; returns ``{uid: evaluation}`` in ``points`` order.
 
     ``fidelity="analytic"`` (default) prices the closed-form layer
     events — sub-millisecond per point, which is what makes a
-    thousands-of-points sweep interactive. ``"functional"`` simulates
-    synthesized INT8 operands on the cycle simulator (``seed`` /
-    ``max_m`` as in the full-model experiments). Either way the
-    payloads memoize under tier-separated cache keys.
+    thousands-of-points sweep interactive, and never touches
+    ``result_cache``. ``"functional"`` simulates synthesized INT8
+    operands on the cycle simulator (``seed`` / ``max_m`` as in the
+    full-model experiments) and memoizes its payloads there.
     """
     from repro.eval.runner import LayerSimTask, simulate_layer_tasks
 
@@ -695,9 +731,9 @@ def merge_artifacts(artifacts: Sequence[dict],
 
     Every shard must come from the same space (signature match) and the
     shard set must be exactly ``0..n-1``. The refinement evaluates its
-    candidates here (through the result cache, so a warm merge host
-    reuses the shards' payloads when they share a cache) — the merged
-    artifact equals the unsharded run's by construction.
+    candidates here (at functional fidelity through the result cache,
+    so a merge host reuses the shards' payloads when they share one) —
+    the merged artifact equals the unsharded run's by construction.
     """
     if not artifacts:
         raise ValueError("nothing to merge")
@@ -778,7 +814,7 @@ def render_artifact(artifact: dict, top: int = 12) -> ExperimentResult:
             f"{len(frontier_uids)} points, stable after "
             f"{len(artifact['rounds'])} refinement round(s)")
     cache = artifact["meta"]["cache"]
-    if cache.get("enabled"):
+    if cache.get("enabled") and cache["hits"] + cache["misses"]:
         notes.append(
             f"result cache: {cache['hits']} hits / {cache['misses']} "
             f"misses ({cache['hit_rate']:.1%} hit rate)")

@@ -1,30 +1,25 @@
-"""AxBxC_MxN design-space enumeration and PPA evaluation (Sec. 7).
+"""AxBxC_MxN design-space enumeration (Sec. 7).
 
 A design point fixes the TPE outer-product dims (A, C), the array grid
 (M, N) and the datapath style (time-unrolled DP1M4 vs dot-product
 DP4M8, i.e. B=4 weight NNZ in both cases). The paper constrains the
 space to 4 TOPS peak dense throughput (2048 MACs at 1 GHz in 16 nm),
 sweeps, keeps the area-vs-power frontier, and picks the lowest-power
-point: the time-unrolled 8x4x4_8x8.
+point: the time-unrolled 8x4x4_8x8. Evaluation, the frontier and the
+selection rule live in :mod:`repro.design.dse`; Sec. 7 is a DSE run
+restricted to the paper's axes (:data:`repro.design.dse.SEC7_AXES`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator
 
 from repro.accel.s2ta import S2TAAW, S2TAW
-from repro.models.specs import LayerSpec
-from repro.workloads.typical import typical_conv_layer
 
 __all__ = [
     "DesignPoint",
-    "PPA",
     "enumerate_design_space",
-    "evaluate_point",
-    "pareto_frontier",
-    "select_lowest_power",
     "TARGET_MACS",
 ]
 
@@ -98,24 +93,6 @@ class DesignPoint:
                      datapath_nnz=self.weight_nnz, **kwargs)
 
 
-@dataclass(frozen=True)
-class PPA:
-    """Evaluated power/performance/area of a design point."""
-
-    point: DesignPoint
-    power_mw: float
-    area_mm2: float
-    cycles: int
-    energy_uj: float
-
-    def dominates(self, other: "PPA") -> bool:
-        """Pareto dominance on (power, area) — lower is better."""
-        return (self.power_mw <= other.power_mw
-                and self.area_mm2 <= other.area_mm2
-                and (self.power_mw < other.power_mw
-                     or self.area_mm2 < other.area_mm2))
-
-
 def enumerate_design_space(
     target_macs: int = TARGET_MACS,
     time_unrolled: bool = True,
@@ -158,56 +135,3 @@ def enumerate_design_space(
                                     weight_nnz=weight_nnz)
                 if point.meets_throughput:
                     yield point
-
-
-def evaluate_point(
-    point: DesignPoint,
-    layer: Optional[LayerSpec] = None,
-    tech: str = "16nm",
-) -> PPA:
-    """Run the reference workload on a design point and report PPA."""
-    layer = layer or typical_conv_layer(0.5, 0.5)
-    accel = point.build(tech=tech)
-    accel.clock_ghz = accel.clock_ghz * point.clock_ghz  # TPE derate
-    result = accel.run_layer(layer)
-    runtime_s = result.cycles / (accel.clock_ghz * 1e9)
-    power_mw = (result.energy_pj * 1e-12) / runtime_s * 1e3 if runtime_s else 0.0
-    return PPA(
-        point=point,
-        power_mw=power_mw,
-        area_mm2=accel.area_mm2(),
-        cycles=result.cycles,
-        energy_uj=result.breakdown.total_uj,
-    )
-
-
-def pareto_frontier(evaluations: List[PPA]) -> List[PPA]:
-    """Non-dominated points on the area-vs-power plane.
-
-    Exact ties survive (dominance needs a strict improvement in at
-    least one objective) and the returned order is a pure function of
-    the evaluations, independent of input order.
-    """
-    frontier = [
-        ppa for ppa in evaluations
-        if not any(other.dominates(ppa) for other in evaluations)
-    ]
-    return sorted(frontier,
-                  key=lambda p: (p.power_mw, p.area_mm2, p.point.notation))
-
-
-def select_lowest_power(
-    evaluations: List[PPA], area_budget_mm2: float = math.inf
-) -> PPA:
-    """The paper's selection rule: lowest power within the area budget.
-
-    Power ties break toward the smaller die, then the notation, so the
-    pick is deterministic regardless of enumeration order.
-    """
-    feasible = [p for p in evaluations if p.area_mm2 <= area_budget_mm2]
-    if not feasible:
-        raise ValueError(
-            f"no design fits the {area_budget_mm2} mm^2 budget"
-        )
-    return min(feasible,
-               key=lambda p: (p.power_mw, p.area_mm2, p.point.notation))

@@ -987,24 +987,30 @@ def tbl5_summary() -> ExperimentResult:
 # --------------------------------------------------------------------- #
 
 def sec7_design_space(top: int = 8) -> ExperimentResult:
-    """The AxBxC_MxN sweep and its area/power frontier (Sec. 7)."""
+    """The AxBxC_MxN sweep and its area/power frontier (Sec. 7): a DSE
+    evaluation restricted to the paper's axes. Serial, because a pool
+    is pure overhead for sub-millisecond analytic points."""
     from repro.design import (
-        enumerate_design_space,
-        evaluate_point,
-        pareto_frontier,
+        SEC7_AXES,
+        DSESpace,
+        evaluate_points,
+        pareto_frontier_3d,
         select_lowest_power,
     )
 
-    evaluations = [evaluate_point(p) for p in enumerate_design_space()]
-    frontier = pareto_frontier(evaluations)
+    space = DSESpace(SEC7_AXES)
+    evaluations = list(evaluate_points(space.points, jobs=1).values())
+    frontier = {e.uid for e in pareto_frontier_3d(
+        evaluations, objectives=("power_mw", "area_mm2"))}
     best = select_lowest_power(evaluations)
+    grid = space[best.uid].design
     ranked = sorted(evaluations, key=lambda e: e.energy_uj)[:top]
     rows = [
-        [e.point.notation,
+        [e.notation,
          round(e.power_mw, 1),
          round(e.area_mm2, 2),
          round(e.energy_uj, 1),
-         "yes" if e in frontier else "no",
+         "yes" if e.uid in frontier else "no",
          "<-- selected" if e is best else ""]
         for e in ranked
     ]
@@ -1017,6 +1023,6 @@ def sec7_design_space(top: int = 8) -> ExperimentResult:
         rows=rows,
         notes=[f"{len(evaluations)} feasible points; the paper selects "
                f"8x4x4_8x8 — the same 8x4x4 TPE wins here (grid "
-               f"{best.point.rows}x{best.point.cols}, within a few "
+               f"{grid.rows}x{grid.cols}, within a few "
                f"percent of the 8x8 grid)"],
     )

@@ -18,6 +18,11 @@ content hash of everything that determines it —
   simulator's event accounting changes, or stale entries would silently
   survive the change).
 
+Only the functional tier is stored. Analytic (closed-form) payloads
+are cheaper to recompute than to read back, so the runner never looks
+them up or writes them; their keys still exist, because in-batch
+dedupe and the service's request fingerprints are built from them.
+
 Payloads are cached *pre-finalization* (before the memory-hierarchy
 profile and energy pricing run), which is exactly what the parallel
 runner's workers return; finalization re-runs on every consumption, so
@@ -68,8 +73,9 @@ CORRUPT_SUBDIR = "corrupt"
 #: Version salt folded into every cache key. Bump whenever any
 #: functional simulator's event accounting or operand synthesis
 #: changes, so stale entries can never masquerade as fresh results.
-#: (pr7: key schema gained the fidelity-tier field — the DSE engine
-#: caches analytic payloads beside the functional ones.)
+#: (pr7: key schema gained the fidelity-tier field. Analytic payloads
+#: are no longer stored, but their keys still carry the tier so they
+#: can never collide with a functional key.)
 CODE_VERSION = "pr7-v1"
 
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -106,12 +112,12 @@ def payload_key(accel, layer, seed: int = 0, max_m: Optional[int] = None,
     payload (see the module docstring for the component list).
 
     Module-level so callers without a cache — the parallel runner's
-    in-batch dedupe under ``--no-result-cache``, the DSE engine's
-    keyspace sharding — fingerprint tasks the exact same way the cache
-    does. ``tier`` separates the two fidelity tiers: a ``"functional"``
-    payload is measured on the cycle simulator, an ``"analytic"`` one is
-    the closed-form ``_layer_events`` result; the two must never share a
-    key even when every config component matches.
+    in-batch dedupe, the service's request fingerprints — fingerprint
+    tasks the exact same way the cache does. ``tier`` separates the two
+    fidelity tiers: a ``"functional"`` payload is measured on the cycle
+    simulator, an ``"analytic"`` one is the closed-form
+    ``_layer_events`` result (keyed for dedupe, never stored); the two
+    must never share a key even when every config component matches.
     """
     try:
         sim_config = _canonical(accel.functional_sim_config())

@@ -84,10 +84,11 @@ class LayerSimTask:
 
     ``analytic=True`` evaluates the closed-form tier
     (:meth:`~repro.accel.base.AcceleratorModel._layer_events`) instead
-    of the cycle simulator — the DSE engine fans thousands of analytic
-    design-point evaluations through the same pool, dedupe and result
-    cache as the functional experiments; the two tiers never share
-    cache keys (the fingerprint carries the tier).
+    of the cycle simulator — the DSE engine and served analytic jobs go
+    through the same dispatch and in-batch dedupe as the functional
+    experiments (the fingerprint carries the tier), but never through
+    the result cache: a sub-millisecond closed form is cheaper to
+    recompute than to read back from disk.
     """
 
     accel: AcceleratorModel
@@ -186,12 +187,14 @@ def _worker_init(operand_budget: int,
     cache.reset_stats()
 
 
-def _simulate_task(task: LayerSimTask) -> Tuple[int, EventCounts]:
-    """The bare simulation body for one task."""
+def _simulate_task(task: LayerSimTask,
+                   cache=None) -> Tuple[int, EventCounts]:
+    """The bare simulation body for one task; ``cache`` overrides the
+    process-default operand memo."""
     if task.analytic:
         return task.accel._layer_events(task.layer)
     return task.accel.simulate_layer_functional(
-        task.layer, seed=task.seed, max_m=task.max_m)
+        task.layer, seed=task.seed, max_m=task.max_m, cache=cache)
 
 
 def _task_fault_key(task: LayerSimTask) -> str:
@@ -320,12 +323,7 @@ def _run_serial(tasks: Sequence[LayerSimTask], indices: Sequence[int],
         with obs_trace.span(task.layer.name, "layer",
                             accel=task.accel.name,
                             tier=task.tier):
-            if task.analytic:
-                payload = task.accel._layer_events(task.layer)
-            else:
-                payload = task.accel.simulate_layer_functional(
-                    task.layer, seed=task.seed,
-                    max_m=task.max_m, cache=operand_cache)
+            payload = _simulate_task(task, cache=operand_cache)
         compute.observe(time.perf_counter_ns() - start_ns)
         payloads[i] = payload
     after = op_cache.stats()
@@ -428,7 +426,9 @@ def simulate_layer_tasks(
     Cache hits (and in-batch duplicates — the same key appearing twice
     in ``tasks``) never dispatch to the pool; misses fan out over
     ``jobs`` workers (serial when 1 or when only one miss remains) and
-    are frozen into ``result_cache`` as they complete. ``jobs="auto"``
+    are frozen into ``result_cache`` as they complete. Analytic tasks
+    bypass ``result_cache`` entirely: no lookup, no write, no counter
+    or stats-sidecar update. ``jobs="auto"``
     resolves per batch from the number of *misses* (cache hits never
     need a pool) via :func:`auto_jobs`. Task fingerprints are computed
     whether or not a cache is attached, so in-batch duplicates collapse
@@ -457,7 +457,7 @@ def simulate_layer_tasks(
         key = payload_key(task.accel, task.layer, seed=task.seed,
                           max_m=task.max_m, tier=task.tier)
         keys.append(key)
-        if result_cache is not None:
+        if result_cache is not None and not task.analytic:
             hit = result_cache.get(key)
             if hit is not None:
                 results[i] = hit
@@ -505,11 +505,11 @@ def simulate_layer_tasks(
             payloads = [serial[i] for i in pending]
         for i, payload in zip(pending, payloads):
             results[i] = payload
-            if result_cache is not None:
+            if result_cache is not None and not tasks[i].analytic:
                 result_cache.put(keys[i], payload[0], payload[1])
     for i, j in dup_of.items():
         results[i] = results[j]
-    if result_cache is not None:
+    if result_cache is not None and not all(t.analytic for t in tasks):
         # Fold this batch's hit/miss counts into the cache's on-disk
         # lifetime totals so `repro cache stats` sees cross-run history.
         result_cache.persist_stats()

@@ -13,9 +13,9 @@ into the engine's :class:`~repro.eval.runner.LayerSimTask` granules
 (:func:`request_fingerprint` — the ordered per-layer
 :func:`~repro.eval.resultcache.payload_key` sequence combined through
 :func:`~repro.eval.resultcache.combine_keys`, so two requests share a
-fingerprint exactly when the result cache would serve them the same
-payloads), prices them for scheduling (:func:`estimated_cost`) and
-executes whole batches through one
+fingerprint exactly when their layer payloads are the same, whether or
+not that tier is cached), prices them for scheduling
+(:func:`estimated_cost`) and executes whole batches through one
 :func:`~repro.eval.runner.simulate_layer_tasks` fan-out
 (:func:`run_requests`).
 

@@ -1,18 +1,26 @@
 """Tests for the Sec. 7 design-space exploration."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.design import (
+    SEC7_AXES,
     DesignPoint,
+    DSEEvaluation,
+    DSESpace,
     enumerate_design_space,
-    evaluate_point,
+    evaluate_points,
     generate_structure,
-    pareto_frontier,
+    pareto_frontier_3d,
     select_lowest_power,
 )
-from repro.design.space import PPA, TARGET_MACS
+from repro.design.dse import _dominates
+from repro.design.space import TARGET_MACS
+from repro.eval import sec7_design_space
+
+#: The (power, area) plane Sec. 7 keeps its frontier on.
+POWER_AREA = ("power_mw", "area_mm2")
+
+SEC7 = DSESpace(SEC7_AXES)
 
 
 class TestDesignPoint:
@@ -62,15 +70,18 @@ class TestEnumeration:
 class TestEvaluationAndSelection:
     @pytest.fixture(scope="class")
     def evaluations(self):
-        return [evaluate_point(p) for p in enumerate_design_space()]
+        assert [p.design for p in SEC7.points] == list(
+            enumerate_design_space())
+        return list(evaluate_points(SEC7.points, jobs=1).values())
 
     def test_paper_tpe_shape_wins(self, evaluations):
         """Sec. 7: the sweep selects the time-unrolled 8x4x4 TPE (the
         paper's grid is 8x8; 4x16 evaluates within a fraction of a
         percent — see EXPERIMENTS.md)."""
         best = select_lowest_power(evaluations)
-        assert (best.point.tpe_a, best.point.tpe_c) == (8, 4)
-        assert best.point.time_unrolled
+        design = SEC7[best.uid].design
+        assert (design.tpe_a, design.tpe_c) == (8, 4)
+        assert design.time_unrolled
 
     def test_paper_grid_close_to_best(self, evaluations):
         """The paper's exact 8x8 grid lands within ~10% of our model's
@@ -78,25 +89,83 @@ class TestEvaluationAndSelection:
         asymmetry acting on tile reuse, see EXPERIMENTS.md."""
         best = select_lowest_power(evaluations)
         paper = next(e for e in evaluations
-                     if e.point.notation == "8x4x4_8x8")
+                     if e.notation == "8x4x4_8x8")
         assert paper.energy_uj <= best.energy_uj * 1.12
 
     def test_tpe_beats_scalar_like_points(self, evaluations):
         """Bigger TPEs increase reuse: small-TPE points burn more power."""
         best = select_lowest_power(evaluations)
-        small = [e for e in evaluations if e.point.tpe_a * e.point.tpe_c <= 2]
+        small = [e for e in evaluations
+                 if SEC7[e.uid].design.tpe_a * SEC7[e.uid].design.tpe_c
+                 <= 2]
         if small:
             assert min(e.power_mw for e in small) > best.power_mw
 
     def test_frontier_is_nondominated(self, evaluations):
-        frontier = pareto_frontier(evaluations)
+        def plane(e):
+            return (e.power_mw, e.area_mm2)
+
+        frontier = pareto_frontier_3d(evaluations, objectives=POWER_AREA)
         assert frontier
         for a in frontier:
-            assert not any(b.dominates(a) for b in evaluations)
+            assert not any(_dominates(plane(b), plane(a))
+                           for b in evaluations)
 
     def test_selection_respects_area_budget(self, evaluations):
         with pytest.raises(ValueError):
             select_lowest_power(evaluations, area_budget_mm2=0.1)
+
+
+class TestSec7Pin:
+    #: ``sec7_design_space(top=38)`` rows (all 38 feasible points) as
+    #: the separate ``evaluate_point`` / 2-D ``pareto_frontier`` path
+    #: produced them before Sec. 7 moved onto the DSE evaluator.
+    ROWS = [
+        ["8x4x4_4x16", 389.4, 3.7, 87.9, "yes", "<-- selected"],
+        ["4x4x8_8x8", 390.6, 3.72, 88.2, "no", ""],
+        ["4x4x4_8x16", 393.1, 3.73, 88.8, "no", ""],
+        ["8x4x4_8x8", 399.4, 3.7, 90.2, "no", ""],
+        ["4x4x8_16x4", 400.6, 3.72, 90.5, "no", ""],
+        ["4x4x4_16x8", 403.1, 3.73, 91.0, "no", ""],
+        ["2x4x8_16x8", 405.5, 3.76, 91.6, "no", ""],
+        ["2x4x4_16x16", 407.9, 3.77, 92.1, "no", ""],
+        ["4x4x2_8x32", 407.8, 3.74, 92.2, "no", ""],
+        ["8x4x2_8x16", 414.2, 3.72, 93.6, "no", ""],
+        ["4x4x2_16x16", 417.9, 3.74, 94.4, "no", ""],
+        ["2x4x4_32x8", 417.8, 3.77, 94.4, "no", ""],
+        ["2x4x2_16x32", 422.7, 3.78, 95.5, "no", ""],
+        ["2x4x2_32x16", 432.7, 3.78, 97.8, "no", ""],
+        ["4x4x8_4x16", 448.6, 3.72, 101.3, "no", ""],
+        ["2x4x8_8x16", 463.4, 3.76, 104.7, "no", ""],
+        ["1x4x8_32x8", 464.8, 3.84, 105.0, "no", ""],
+        ["2x4x4_8x32", 465.8, 3.77, 105.2, "no", ""],
+        ["1x4x4_32x16", 467.3, 3.85, 105.6, "no", ""],
+        ["8x4x1_8x32", 473.6, 3.75, 107.0, "no", ""],
+        ["4x4x1_16x32", 477.3, 3.77, 107.8, "no", ""],
+        ["1x4x2_32x32", 482.0, 3.87, 109.0, "no", ""],
+        ["2x4x1_16x64", 481.9, 3.82, 109.0, "no", ""],
+        ["8x4x4_16x4", 475.1, 3.7, 109.5, "no", ""],
+        ["2x4x1_32x32", 492.0, 3.82, 111.2, "no", ""],
+        ["1x4x2_64x16", 491.9, 3.87, 111.2, "no", ""],
+        ["8x4x2_16x8", 489.7, 3.72, 112.9, "no", ""],
+        ["4x4x2_32x8", 493.3, 3.74, 113.7, "no", ""],
+        ["1x4x8_16x16", 522.9, 3.84, 118.1, "no", ""],
+        ["1x4x4_16x32", 525.2, 3.85, 118.7, "no", ""],
+        ["1x4x2_16x64", 539.8, 3.87, 122.1, "no", ""],
+        ["1x4x1_32x64", 541.2, 3.9, 122.4, "no", ""],
+        ["1x4x1_64x32", 551.2, 3.9, 124.7, "no", ""],
+        ["8x4x1_16x16", 547.9, 3.75, 126.3, "no", ""],
+        ["4x4x1_32x16", 551.5, 3.77, 127.2, "no", ""],
+        ["2x4x1_64x16", 566.1, 3.82, 130.6, "no", ""],
+        ["1x4x8_8x32", 677.7, 3.84, 153.1, "no", ""],
+        ["8x4x1_32x8", 716.8, 3.75, 171.9, "no", ""],
+    ]
+
+    def test_rows_pinned(self):
+        result = sec7_design_space(top=38)
+        assert result.rows == self.ROWS
+        assert "38 feasible points" in result.notes[0]
+        assert "grid 4x16" in result.notes[0]
 
 
 class TestRtlGen:
@@ -122,13 +191,15 @@ class TestRtlGen:
 
 
 def _ppa(tag: int, power: float, area: float, energy: float = 1.0,
-         cycles: int = 100) -> PPA:
-    """Synthetic PPA with a unique notation per ``tag`` (the tiebreak
-    key) — lets selection/frontier properties be tested on exact
-    objective values instead of whatever the cost model produces."""
-    return PPA(point=DesignPoint(tpe_a=1, tpe_c=1, rows=1, cols=tag),
-               power_mw=float(power), area_mm2=float(area),
-               cycles=cycles, energy_uj=float(energy))
+         cycles: int = 100) -> DSEEvaluation:
+    """Synthetic evaluation with a unique uid per ``tag`` (the tiebreak
+    key) — lets selection properties be tested on exact objective
+    values instead of whatever the cost model produces."""
+    return DSEEvaluation(
+        uid=f"p{tag:02d}", notation=f"1x4x1_1x{tag}", time_unrolled=True,
+        weight_nnz=4, a_nnz=4, sram_mb=2.5, dram_gbps=None, tech="16nm",
+        power_mw=float(power), area_mm2=float(area), cycles=cycles,
+        energy_uj=float(energy))
 
 
 class TestSelectionRule:
@@ -163,34 +234,3 @@ class TestSelectionRule:
                  select_lowest_power(sorted(evals,
                                             key=lambda p: p.area_mm2))}
         assert len(picks) == 1
-
-
-class TestFrontierProperties:
-    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                    min_size=1, max_size=24),
-           st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
-    def test_order_independent(self, grid, rnd):
-        """The frontier — content *and* order — is a pure function of
-        the evaluation set (small integer grids force plenty of exact
-        objective ties)."""
-        evals = [_ppa(i, power=p, area=a)
-                 for i, (p, a) in enumerate(grid)]
-        shuffled = list(evals)
-        rnd.shuffle(shuffled)
-        assert pareto_frontier(shuffled) == pareto_frontier(evals)
-
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                    min_size=1, max_size=24))
-    @settings(max_examples=60, deadline=None)
-    def test_keeps_exact_ties(self, grid):
-        """Dominance requires a strict improvement, so objective-tied
-        points survive or fall together — never an arbitrary winner."""
-        evals = [_ppa(i, power=p, area=a)
-                 for i, (p, a) in enumerate(grid)]
-        frontier = pareto_frontier(evals)
-        assert frontier
-        kept = {(e.power_mw, e.area_mm2) for e in frontier}
-        for e in evals:
-            if (e.power_mw, e.area_mm2) in kept:
-                assert e in frontier
